@@ -46,11 +46,12 @@ func (a *KVApp) ProveOperation(seq uint64, l int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Snapshot implements core.Application.
+// Snapshot returns the store's concatenated capture: the blob Restore
+// accepts.
 func (a *KVApp) Snapshot() ([]byte, error) { return a.Store.Snapshot() }
 
-// SnapshotChunks implements core.ChunkedSnapshotter, forwarding the
-// store's incremental bucketed capture.
+// SnapshotChunks implements core.Application, forwarding the store's
+// incremental bucketed capture.
 func (a *KVApp) SnapshotChunks() ([][]byte, bool, error) { return a.Store.SnapshotChunks() }
 
 // ReadKey implements core.KeyReader: the op→key mapping of the certified
@@ -107,11 +108,8 @@ func (a *EVMApp) ProveOperation(seq uint64, l int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Snapshot implements core.Application.
-func (a *EVMApp) Snapshot() ([]byte, error) { return a.Ledger.Snapshot() }
-
-// SnapshotChunks implements core.ChunkedSnapshotter, forwarding the
-// ledger's incremental bucketed capture.
+// SnapshotChunks implements core.Application, forwarding the ledger's
+// incremental bucketed capture.
 func (a *EVMApp) SnapshotChunks() ([][]byte, bool, error) { return a.Ledger.SnapshotChunks() }
 
 // ReadKey implements core.KeyReader: the op→key mapping of the certified

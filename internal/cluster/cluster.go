@@ -90,18 +90,11 @@ type Options struct {
 	// Persist gives every SBFT-variant replica a durable storage.Ledger
 	// block store, enabling RestartReplica (restart-from-storage). The
 	// data lives under DataDir, or a temporary directory removed by Close.
+	// A persisted SBFT replica gets an asynchronous core.SnapshotSink: the
+	// encode and disk write land snapshotPersistDelay of virtual time
+	// later, off the checkpoint critical path, and a crash can race the
+	// durable write — exactly the window the chaos sweeps should exercise.
 	Persist bool
-	// SyncSnapshots forces the synchronous snapshot-persistence path
-	// (encode+write on the replica's event loop, the pre-async behavior,
-	// kept measurable as a benchmark baseline). By default a persisted
-	// SBFT replica gets an asynchronous core.SnapshotSink: the encode and
-	// disk write land after SnapshotPersistDelay of virtual time, off the
-	// checkpoint critical path, and a crash can race the durable write —
-	// exactly the window the chaos sweeps should exercise.
-	SyncSnapshots bool
-	// SnapshotPersistDelay is the modeled disk hand-off latency of the
-	// async snapshot sink (0 = 2ms of virtual time).
-	SnapshotPersistDelay time.Duration
 	// CryptoPool, when positive, gives every SBFT-variant replica a
 	// modeled pool of that many crypto workers (a deterministic
 	// core.CryptoSink advancing in virtual time): share verification and
@@ -208,28 +201,27 @@ func (e *env) After(d time.Duration, fn func()) func() {
 // write, exactly like a process dying mid-write; the replica then re-serves
 // from its previous durable snapshot).
 type ledgerSink struct {
-	env   *env
-	led   *storage.Ledger
-	delay time.Duration
+	env *env
+	led *storage.Ledger
 }
+
+// snapshotPersistDelay is the modeled disk hand-off latency of the async
+// snapshot sink.
+const snapshotPersistDelay = 2 * time.Millisecond
 
 // PersistSnapshot implements core.SnapshotSink.
 func (s *ledgerSink) PersistSnapshot(cs *core.CertifiedSnapshot, keepFrom uint64, done func(error)) {
-	s.env.After(s.delay, func() {
+	s.env.After(snapshotPersistDelay, func() {
 		done(core.PersistCertified(s.led, cs, keepFrom))
 	})
 }
 
 // installSink arms the async snapshot sink on a persisted SBFT replica.
 func (cl *Cluster) installSink(rep *core.Replica, e *env, led *storage.Ledger) {
-	if !cl.Opts.Persist || cl.Opts.SyncSnapshots || led == nil {
+	if !cl.Opts.Persist || led == nil {
 		return
 	}
-	delay := cl.Opts.SnapshotPersistDelay
-	if delay <= 0 {
-		delay = 2 * time.Millisecond
-	}
-	rep.SetSnapshotSink(&ledgerSink{env: e, led: led, delay: delay})
+	rep.SetSnapshotSink(&ledgerSink{env: e, led: led})
 }
 
 // handler adapts Node to sim.Handler.

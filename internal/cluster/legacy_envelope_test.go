@@ -113,12 +113,16 @@ func TestLegacyEnvelopeExploitableByByzantineSnapshotServer(t *testing.T) {
 		}
 		return tb.Bytes()
 	}
-	honest := core.NewCertifiedSnapshot(seq, appDigest, appSnap, encodeTable(honestReplies))
+	appChunks, _, err := server.SnapshotChunks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := core.NewCertifiedSnapshotChunked(seq, appDigest, appChunks, encodeTable(honestReplies), nil)
 	tamperedTable := encodeTable(tampered.Replies)
 	// The adversary must serve its tampered table bytes under the honest
 	// certified root (it cannot forge a new π certificate). Every chunk
 	// layout it could choose fails verification.
-	evil := core.NewCertifiedSnapshot(seq, appDigest, appSnap, tamperedTable)
+	evil := core.NewCertifiedSnapshotChunked(seq, appDigest, appChunks, tamperedTable, nil)
 	if bytes.Equal(evil.Root(), honest.Root()) {
 		t.Fatal("tampered table produced the same certified root")
 	}

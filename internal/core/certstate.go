@@ -26,13 +26,16 @@ import (
 //
 // Layout of the commitment tree (internal/merkle, domain-separated leaves):
 //
-//	leaf 0               header: app digest, app/table byte lengths, chunk size
-//	leaf 1 .. n_a        app snapshot bytes, split into ChunkSize pieces
-//	leaf n_a+1 .. n_a+n_t   canonical reply-table bytes, split likewise
+//	leaf 0               header: app digest, app/table byte lengths,
+//	                     chunk size, app chunk count n_a
+//	leaf 1 .. n_a        the app's own chunks (variable length; for the
+//	                     shipped apps a prelude plus one chunk per bucket)
+//	leaf n_a+1 .. n_a+n_t   canonical reply-table bytes, split into
+//	                     ChunkSize pieces
 //
-// Determinism contract: Application.Snapshot must produce identical bytes
-// on replicas with identical state (the kvstore and evm apps encode
-// key-sorted entries), and the reply table is serialized sorted by client
+// Determinism contract: Application.SnapshotChunks must produce identical
+// chunks on replicas with identical state (the kvstore and evm apps encode
+// key-sorted buckets), and the reply table is serialized sorted by client
 // id — so every honest replica computes the same root at the same
 // checkpoint sequence and the π quorum forms.
 
@@ -53,10 +56,9 @@ type SnapshotHeader struct {
 	AppLen    uint64
 	TableLen  uint64
 	ChunkSize uint32
-	// AppChunks, when non-zero, declares the app snapshot as a list of
-	// VARIABLE-length chunks (the incremental bucketed capture: one chunk
-	// per bucket, sizes set by the application) instead of the legacy
-	// fixed ChunkSize split. Table chunks always use the fixed split.
+	// AppChunks is the number of app chunks, each of VARIABLE length (the
+	// sizes are the application's; only the leaf hashes authenticate
+	// them). Table chunks use the fixed ChunkSize split.
 	AppChunks uint32
 }
 
@@ -73,43 +75,26 @@ func chunkCount(n uint64, size uint32) int {
 	return int((n + uint64(size) - 1) / uint64(size))
 }
 
-// appChunkCount reports the number of app chunks: declared for the
-// variable-length capture, derived from AppLen for the legacy fixed split.
-func (h SnapshotHeader) appChunkCount() int {
-	if h.AppChunks > 0 {
-		return int(h.AppChunks)
-	}
-	return chunkCount(h.AppLen, h.ChunkSize)
-}
-
 // NumChunks reports the number of data chunks (Merkle leaves past the
 // header) the certified snapshot carries.
 func (h SnapshotHeader) NumChunks() int {
-	return h.appChunkCount() + chunkCount(h.TableLen, h.ChunkSize)
+	return int(h.AppChunks) + chunkCount(h.TableLen, h.ChunkSize)
 }
 
 // chunkLen reports the exact byte length of 1-based chunk index i, or -1
 // for variable-length app chunks (whose exact content only the leaf hash
 // authenticates).
 func (h SnapshotHeader) chunkLen(i int) int {
-	na := h.appChunkCount()
-	if i <= na && h.AppChunks > 0 {
+	if i <= int(h.AppChunks) {
 		return -1
 	}
-	lenOf := func(total uint64, pos int, count int) int {
-		if pos < count-1 {
-			return int(h.ChunkSize)
-		}
-		rem := total % uint64(h.ChunkSize)
-		if rem == 0 {
-			return int(h.ChunkSize)
-		}
+	if i < h.NumChunks() {
+		return int(h.ChunkSize)
+	}
+	if rem := h.TableLen % uint64(h.ChunkSize); rem != 0 {
 		return int(rem)
 	}
-	if i <= na {
-		return lenOf(h.AppLen, i-1, na)
-	}
-	return lenOf(h.TableLen, i-na-1, h.NumChunks()-na)
+	return int(h.ChunkSize)
 }
 
 // valid performs cheap structural sanity checks (the certified root is
@@ -117,7 +102,7 @@ func (h SnapshotHeader) chunkLen(i int) int {
 func (h SnapshotHeader) valid() bool {
 	return h.ChunkSize > 0 && h.ChunkSize <= 1<<20 &&
 		h.AppLen <= maxSnapshotLen && h.TableLen <= maxSnapshotLen &&
-		h.AppChunks <= maxAppChunks &&
+		h.AppChunks >= 1 && h.AppChunks <= maxAppChunks &&
 		len(h.AppDigest) <= 64
 }
 
@@ -174,23 +159,6 @@ type CertifiedSnapshot struct {
 	tree *merkle.Tree
 }
 
-// NewCertifiedSnapshot commits (app snapshot bytes, canonical reply-table
-// bytes) for a checkpoint sequence.
-func NewCertifiedSnapshot(seq uint64, appDigest, appSnap, tableBytes []byte) *CertifiedSnapshot {
-	cs := &CertifiedSnapshot{
-		Seq: seq,
-		Header: SnapshotHeader{
-			AppDigest: append([]byte(nil), appDigest...),
-			AppLen:    uint64(len(appSnap)),
-			TableLen:  uint64(len(tableBytes)),
-			ChunkSize: SnapshotChunkSize,
-		},
-	}
-	cs.Chunks = append(splitChunks(appSnap, SnapshotChunkSize), splitChunks(tableBytes, SnapshotChunkSize)...)
-	cs.build()
-	return cs
-}
-
 // CaptureCache carries the app-chunk leaf hashes of one replica's latest
 // capture across checkpoints. Clean chunks are recognized by slice
 // identity (the incremental capture contract: an unchanged chunk is
@@ -212,9 +180,9 @@ func sameSlice(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// NewCertifiedSnapshotChunked commits a pre-chunked app snapshot (the
-// incremental capture path: variable-length chunks, one per bucket) plus
-// the canonical reply-table bytes. With a cache from the previous capture,
+// NewCertifiedSnapshotChunked commits a pre-chunked app snapshot
+// (variable-length chunks, for the shipped apps one per bucket) plus the
+// canonical reply-table bytes. With a cache from the previous capture,
 // only chunks whose slices changed are re-hashed.
 func NewCertifiedSnapshotChunked(seq uint64, appDigest []byte, appChunks [][]byte, tableBytes []byte, cache *CaptureCache) *CertifiedSnapshot {
 	var appLen uint64
@@ -463,7 +431,7 @@ func DecodeCertifiedSnapshot(data []byte) (*CertifiedSnapshot, error) {
 			return nil, fmt.Errorf("core: stored snapshot chunk %d length mismatch", i+1)
 		}
 	}
-	if st.Header.AppChunks > 0 && appSum != st.Header.AppLen {
+	if appSum != st.Header.AppLen {
 		return nil, fmt.Errorf("core: stored snapshot app chunks sum %d, want %d", appSum, st.Header.AppLen)
 	}
 	cs := &CertifiedSnapshot{Seq: st.Seq, Header: st.Header, Chunks: st.Chunks, Pi: st.Pi}

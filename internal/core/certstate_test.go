@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// newCertified commits a flat app snapshot split into SnapshotChunkSize
+// app chunks: a fixed chunk shape for tests that do not care about the
+// app's own chunking.
+func newCertified(seq uint64, appDigest, appSnap, tableBytes []byte) *CertifiedSnapshot {
+	return NewCertifiedSnapshotChunked(seq, appDigest, splitChunks(appSnap, SnapshotChunkSize), tableBytes, nil)
+}
+
 func testCache() map[int]replyCacheEntry {
 	return map[int]replyCacheEntry{
 		ClientBase + 2: {timestamp: 5, seq: 9, l: 1, val: []byte("z")},
@@ -18,7 +25,7 @@ func testCache() map[int]replyCacheEntry {
 func TestCertifiedSnapshotRoundTrip(t *testing.T) {
 	app := bytes.Repeat([]byte{0xAB}, 3*SnapshotChunkSize+17) // 4 app chunks
 	table := encodeReplyTable(testCache())
-	cs := NewCertifiedSnapshot(8, []byte("app-digest"), app, table)
+	cs := newCertified(8, []byte("app-digest"), app, table)
 
 	if got, want := len(cs.Chunks), cs.Header.NumChunks(); got != want {
 		t.Fatalf("chunks %d, header says %d", got, want)
@@ -63,7 +70,7 @@ func TestCertifiedSnapshotRoundTrip(t *testing.T) {
 func TestCertifiedSnapshotDetectsTampering(t *testing.T) {
 	app := bytes.Repeat([]byte{0xCD}, SnapshotChunkSize+100)
 	table := encodeReplyTable(testCache())
-	cs := NewCertifiedSnapshot(4, []byte("app-digest"), app, table)
+	cs := newCertified(4, []byte("app-digest"), app, table)
 
 	for i := 1; i <= len(cs.Chunks); i++ {
 		p, err := cs.ProveChunk(i)
@@ -80,7 +87,7 @@ func TestCertifiedSnapshotDetectsTampering(t *testing.T) {
 	// A chunk served at the wrong position must not verify either, even
 	// with its own (correct) proof.
 	p1, _ := cs.ProveChunk(1)
-	if err := VerifySnapshotChunk(cs.Root(), cs.Header, 2, cs.Chunks[0][:cs.Header.chunkLen(2)], p1); err == nil {
+	if err := VerifySnapshotChunk(cs.Root(), cs.Header, 2, cs.Chunks[0][:len(cs.Chunks[1])], p1); err == nil {
 		t.Fatal("chunk accepted at the wrong index")
 	}
 
@@ -98,16 +105,16 @@ func TestCertifiedSnapshotDetectsTampering(t *testing.T) {
 // property that lets independent replicas reach the π quorum.
 func TestCertifiedSnapshotDeterminism(t *testing.T) {
 	app := bytes.Repeat([]byte{7}, 1000)
-	a := NewCertifiedSnapshot(4, []byte("d"), app, encodeReplyTable(testCache()))
+	a := newCertified(4, []byte("d"), app, encodeReplyTable(testCache()))
 	other := map[int]replyCacheEntry{}
 	for c, e := range testCache() { // re-insert in map order (arbitrary)
 		other[c] = e
 	}
-	b := NewCertifiedSnapshot(4, []byte("d"), app, encodeReplyTable(other))
+	b := newCertified(4, []byte("d"), app, encodeReplyTable(other))
 	if !bytes.Equal(a.Root(), b.Root()) {
 		t.Fatal("roots differ for identical state")
 	}
-	c := NewCertifiedSnapshot(4, []byte("d"), app, encodeReplyTable(map[int]replyCacheEntry{}))
+	c := newCertified(4, []byte("d"), app, encodeReplyTable(map[int]replyCacheEntry{}))
 	if bytes.Equal(a.Root(), c.Root()) {
 		t.Fatal("root ignores the reply table")
 	}
@@ -116,7 +123,7 @@ func TestCertifiedSnapshotDeterminism(t *testing.T) {
 // TestStoredSnapshotRejectsCorruption: the durable blob re-validates shape
 // on load.
 func TestStoredSnapshotRejectsCorruption(t *testing.T) {
-	cs := NewCertifiedSnapshot(4, []byte("d"), bytes.Repeat([]byte{1}, 100), encodeReplyTable(testCache()))
+	cs := newCertified(4, []byte("d"), bytes.Repeat([]byte{1}, 100), encodeReplyTable(testCache()))
 	blob := cs.Encode()
 	if _, err := DecodeCertifiedSnapshot(blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated blob decoded")
@@ -134,5 +141,37 @@ func TestCheckpointDigestDomainSeparation(t *testing.T) {
 	d := []byte("digest")
 	if bytes.Equal(StateSigDigest(4, d), CheckpointSigDigest(4, d)) {
 		t.Fatal("state and checkpoint signing digests collide")
+	}
+}
+
+// noChunksApp declines to capture its state.
+type noChunksApp struct{ *fakeApp }
+
+func (noChunksApp) SnapshotChunks() ([][]byte, bool, error) { return nil, false, nil }
+
+// TestCaptureRequiresAppChunks: the app's chunk list is the only snapshot
+// format, so an app answering ok=false fails the capture instead of
+// falling back to another layout, and a header declaring no app chunks
+// is malformed.
+func TestCaptureRequiresAppChunks(t *testing.T) {
+	cfg := DefaultConfig(1, 0)
+	suite, keys, err := InsecureSuite(cfg, "no-chunks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplica(1, cfg, suite, keys[0], noChunksApp{&fakeApp{}}, &fakeEnv{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.buildSnapshot(4, []byte{0}); err == nil {
+		t.Fatal("capture succeeded without app chunks")
+	}
+	h := newCertified(4, []byte("d"), []byte("app"), nil).Header
+	if !h.valid() {
+		t.Fatal("one-chunk header rejected")
+	}
+	h.AppChunks = 0
+	if h.valid() {
+		t.Fatal("header without app chunks accepted")
 	}
 }

@@ -27,8 +27,7 @@ type Config struct {
 	// MaxPending bounds the admission queue (§V-C backpressure): a request
 	// arriving while len(pending) ≥ MaxPending is rejected with a BusyMsg
 	// retry hint instead of growing the queue without bound under
-	// open-loop overload. 0 derives 4 × Batch × activeWindow; negative
-	// disables the bound entirely.
+	// open-loop overload. 0 derives 4 × Batch × activeWindow.
 	MaxPending int
 	// FastPath enables the σ fast path (ingredient 2).
 	FastPath bool
@@ -84,16 +83,6 @@ type Config struct {
 	// retained generation fetch deltas only. Zero derives 4; 1 reproduces
 	// single-generation retention.
 	SnapshotRetain int
-	// ReadBatch bounds the certified-read queue (ROADMAP item 2): a
-	// replica serves queued reads as one batch when the queue reaches
-	// this size, amortizing Merkle proof generation (the header proof and
-	// per-bucket chunk proofs are computed once per batch). Zero derives
-	// 16; 1 serves every read immediately.
-	ReadBatch int
-	// ReadBatchWait bounds how long a queued read may wait for its batch
-	// to fill. Zero derives 2ms; negative serves immediately (no
-	// batching), the measurable baseline for the batching benchmark.
-	ReadBatchWait time.Duration
 }
 
 // DefaultConfig returns the paper's defaults for a given f and c.
@@ -194,23 +183,6 @@ func (c Config) snapshotRetain() int {
 		return c.SnapshotRetain
 	}
 	return 4
-}
-
-// readBatch is the effective read-batch size (≥ 1).
-func (c Config) readBatch() int {
-	if c.ReadBatch > 0 {
-		return c.ReadBatch
-	}
-	return 16
-}
-
-// readBatchWait is the effective read-batch wait; values < 0 after
-// derivation mean "serve every read immediately".
-func (c Config) readBatchWait() time.Duration {
-	if c.ReadBatchWait != 0 {
-		return c.ReadBatchWait
-	}
-	return 2 * time.Millisecond
 }
 
 // Primary returns the primary replica id (1-based) for a view, chosen
@@ -332,19 +304,19 @@ type Application interface {
 	Digest() []byte
 	// ProveOperation returns the encoded proof(o, l, s, D, val).
 	ProveOperation(seq uint64, l int) ([]byte, error)
-	// Snapshot and Restore implement state transfer.
-	Snapshot() ([]byte, error)
+	// SnapshotChunks (checkpoint capture) and Restore implement state
+	// transfer.
+	ChunkedSnapshotter
 	Restore([]byte) error
 	// GarbageCollect drops proof material below keepFrom.
 	GarbageCollect(keepFrom uint64)
 }
 
-// ChunkedSnapshotter is the optional incremental-capture extension of
-// Application. SnapshotChunks returns the snapshot as a chunk list whose
-// concatenation Restore accepts, with ok=false meaning "not supported
-// here" (wrappers forward the call statically and report their inner
-// app's answer, so all replicas of a deployment take the same capture
-// path — mixing paths would diverge the certified chunk layout).
+// ChunkedSnapshotter is the checkpoint-capture half of Application.
+// SnapshotChunks returns the snapshot as a non-empty chunk list whose
+// concatenation Restore accepts; each chunk becomes one leaf of the
+// certified commitment tree. ok=false is a capture error: the replica
+// cannot certify a checkpoint without the app's chunks.
 //
 // Incremental contract: a chunk whose content is unchanged since the
 // previous SnapshotChunks call MUST be returned as the identical byte
@@ -362,8 +334,7 @@ type ChunkedSnapshotter interface {
 // snapshot's bucketed chunk layout without ordering. Operations with side
 // effects, or apps without a stable key mapping, return an error — the
 // replica then answers ReadUnavailable and the client falls back to the
-// ordering path. Wrappers forward the call statically, like
-// ChunkedSnapshotter.
+// ordering path. Wrappers forward the call statically.
 type KeyReader interface {
 	ReadKey(op []byte) (string, error)
 }
@@ -374,8 +345,7 @@ type KeyReader interface {
 // 2PC counters so the replica surfaces them as Metrics. The counters
 // are observability only — never protocol state — and reset with the
 // process like every other metric. Wrappers forward the call
-// statically, like ChunkedSnapshotter; a wrapper over an app without
-// the envelope reports zeros.
+// statically; a wrapper over an app without the envelope reports zeros.
 type TwoPhaser interface {
 	TxStats() (prepares, commits, aborts uint64)
 }

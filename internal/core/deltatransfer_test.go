@@ -35,14 +35,14 @@ func deltaMetaOf(t *testing.T, cs *CertifiedSnapshot, base uint64, delta []int) 
 
 func TestSnapshotDeltaLeafDiff(t *testing.T) {
 	sa, sb := chunkSnaps()
-	csA := NewCertifiedSnapshot(4, []byte{0}, sa, encodeReplyTable(nil))
-	csB := NewCertifiedSnapshot(8, []byte{0}, sb, encodeReplyTable(nil))
+	csA := newCertified(4, []byte{0}, sa, encodeReplyTable(nil))
+	csB := newCertified(8, []byte{0}, sb, encodeReplyTable(nil))
 	got := snapshotDelta(csA, csB)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("snapshotDelta = %v, want [2]", got)
 	}
 	// Growth: a successor with more chunks includes every new index.
-	csC := NewCertifiedSnapshot(12, []byte{0}, bytes.Repeat([]byte{0xA1}, 5*SnapshotChunkSize), encodeReplyTable(nil))
+	csC := newCertified(12, []byte{0}, bytes.Repeat([]byte{0xA1}, 5*SnapshotChunkSize), encodeReplyTable(nil))
 	grown := snapshotDelta(csA, csC)
 	want := map[int]bool{5: true, 6: true} // two new app chunks (table chunk shifts index)
 	for _, idx := range grown {

@@ -38,31 +38,36 @@ import (
 // ---------------------------------------------------------------------------
 // Server side.
 
+// Read batching (ROADMAP item 2): a replica serves queued reads as one
+// batch when the queue reaches readBatch, amortizing Merkle proof
+// generation (the header proof and per-bucket chunk proofs are computed
+// once per batch), and a queued read waits at most readBatchWait for its
+// batch to fill.
+const (
+	readBatch     = 16
+	readBatchWait = 2 * time.Millisecond
+)
+
 // readRequest is one queued certified read.
 type readRequest struct {
 	from int
 	m    ReadMsg
 }
 
-// onRead queues (or immediately serves) a certified read. Batching
-// amortizes proof generation: all reads of one flush share the header
-// proof and any repeated bucket-chunk proofs.
+// onRead queues a certified read. Batching amortizes proof generation:
+// all reads of one flush share the header proof and any repeated
+// bucket-chunk proofs.
 func (r *Replica) onRead(from int, m ReadMsg) {
 	if m.Client != from || !IsClient(from) {
 		return
 	}
-	if r.cfg.readBatchWait() < 0 || r.cfg.readBatch() <= 1 {
-		r.readQueue = append(r.readQueue, readRequest{from: from, m: m})
-		r.flushReads()
-		return
-	}
 	r.readQueue = append(r.readQueue, readRequest{from: from, m: m})
-	if len(r.readQueue) >= r.cfg.readBatch() {
+	if len(r.readQueue) >= readBatch {
 		r.flushReads()
 		return
 	}
 	if r.readTimer == nil {
-		r.readTimer = r.env.After(r.cfg.readBatchWait(), func() {
+		r.readTimer = r.env.After(readBatchWait, func() {
 			r.readTimer = nil
 			r.flushReads()
 		})
@@ -102,9 +107,9 @@ func (r *Replica) flushReads() {
 		}
 		switch {
 		case !ok || cs == nil || cs.Header.AppChunks < 2:
-			// No key mapping, no certified snapshot yet, or the app
-			// snapshot is not bucketed — the client must use the
-			// ordering path.
+			// No key mapping, no certified snapshot yet, or an app
+			// snapshot without buckets (a prelude alone) — the client
+			// must use the ordering path.
 			reply.Status = ReadUnavailable
 			r.Metrics.ReadsUnavailable++
 		case cs.Seq < m.MinSeq:

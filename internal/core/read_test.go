@@ -249,15 +249,15 @@ func TestVerifyReadReplyRelabeledProof(t *testing.T) {
 }
 
 // TestVerifyReadReplyNonBucketed pins the AppChunks ≥ 2 requirement: a
-// genuinely certified legacy (fixed-split, non-bucketed) snapshot cannot
-// serve key reads, however valid its certificate.
+// genuinely certified snapshot with a single app chunk (no buckets after
+// the prelude) cannot serve key reads, however valid its certificate.
 func TestVerifyReadReplyNonBucketed(t *testing.T) {
 	cfg := DefaultConfig(1, 0)
 	suite, keys, err := InsecureSuite(cfg, "read-verify")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewCertifiedSnapshot(9, []byte("d"), []byte("legacy-app-bytes"), []byte("table"))
+	cs := newCertified(9, []byte("d"), []byte("one-app-chunk"), []byte("table"))
 	cs.Pi = certify(t, suite, keys, cs.Seq, cs.Root())
 	hp, err := cs.ProveHeader()
 	if err != nil {

@@ -274,10 +274,9 @@ type Replica struct {
 	// the full state. Depth is Config.SnapshotRetain.
 	snapGens []*snapGeneration
 	// capCache carries chunk identities and leaf hashes between
-	// consecutive checkpoint captures, so an application with an
-	// incremental capture path (ChunkedSnapshotter) costs
+	// consecutive checkpoint captures, so a capture costs
 	// O(chunks-changed) per checkpoint rather than O(state).
-	capCache *CaptureCache
+	capCache CaptureCache
 	// pendingSnap holds certified snapshots captured at the moment a
 	// checkpoint sequence executed, keyed by that sequence. Stabilization
 	// (the π quorum) arrives a round-trip later, when execution may have
@@ -651,9 +650,6 @@ func (r *Replica) adaptiveBatch() int {
 func (r *Replica) maxPending() int {
 	if r.cfg.MaxPending > 0 {
 		return r.cfg.MaxPending
-	}
-	if r.cfg.MaxPending < 0 {
-		return int(^uint(0) >> 1) // unbounded (legacy behavior)
 	}
 	return 4 * r.cfg.Batch * int(r.activeWindow())
 }
@@ -1881,31 +1877,21 @@ func (r *Replica) recordStable(seq uint64, digest []byte, pi threshsig.Signature
 // buildSnapshot captures the certified execution state at seq: the
 // application snapshot plus the canonical last-reply table, chunked and
 // Merkle-committed. Valid only while app state and reply table are exactly
-// at seq. Applications exposing the incremental capture path
-// (ChunkedSnapshotter) are captured chunk-by-chunk through the capture
-// cache: clean chunks (recognized by slice identity, per the interface
+// at seq. The app is captured chunk-by-chunk through the capture cache:
+// clean chunks (recognized by slice identity, per the ChunkedSnapshotter
 // contract) reuse their previous leaf hashes, so the capture stall is
 // proportional to writes since the last checkpoint, not to state size.
 func (r *Replica) buildSnapshot(seq uint64, appDigest []byte) (*CertifiedSnapshot, error) {
-	if ca, ok := r.app.(ChunkedSnapshotter); ok {
-		chunks, supported, err := ca.SnapshotChunks()
-		if err != nil {
-			return nil, err
-		}
-		if supported {
-			if r.capCache == nil {
-				r.capCache = &CaptureCache{}
-			}
-			cs := NewCertifiedSnapshotChunked(seq, appDigest, chunks, encodeReplyTable(r.replyCache), r.capCache)
-			r.Metrics.CheckpointDirtyChunks += uint64(r.capCache.DirtyChunks())
-			return cs, nil
-		}
-	}
-	appSnap, err := r.app.Snapshot()
+	chunks, ok, err := r.app.SnapshotChunks()
 	if err != nil {
 		return nil, err
 	}
-	return NewCertifiedSnapshot(seq, appDigest, appSnap, encodeReplyTable(r.replyCache)), nil
+	if !ok || len(chunks) == 0 {
+		return nil, fmt.Errorf("core: application returned no snapshot chunks")
+	}
+	cs := NewCertifiedSnapshotChunked(seq, appDigest, chunks, encodeReplyTable(r.replyCache), &r.capCache)
+	r.Metrics.CheckpointDirtyChunks += uint64(r.capCache.DirtyChunks())
+	return cs, nil
 }
 
 // snapGeneration is one retained certified snapshot plus the delta that
@@ -2987,7 +2973,7 @@ func (r *Replica) finishStateFetch() {
 	// The restore replaced application state wholesale; cached capture
 	// identities no longer describe it. The next checkpoint re-hashes
 	// every chunk and re-seeds the cache.
-	r.capCache = nil
+	r.capCache = CaptureCache{}
 	r.replyCache = table
 	for client, e := range table {
 		if ts := r.seen[client]; ts < e.timestamp {

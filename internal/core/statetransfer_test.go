@@ -14,7 +14,7 @@ import (
 // is [0]).
 func certifiedSized(t *testing.T, rg *rig, seq uint64, appSnap []byte, table map[int]replyCacheEntry) *CertifiedSnapshot {
 	t.Helper()
-	cs := NewCertifiedSnapshot(seq, rg.app.Digest(), appSnap, encodeReplyTable(table))
+	cs := newCertified(seq, rg.app.Digest(), appSnap, encodeReplyTable(table))
 	sd := CheckpointSigDigest(seq, cs.Root())
 	var shares []threshsig.Share
 	for i := 0; i < rg.cfg.QuorumExec(); i++ {

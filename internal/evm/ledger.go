@@ -452,41 +452,28 @@ func (l *Ledger) GarbageCollect(keepFrom uint64) {
 	}
 }
 
-// Snapshot serializes the ledger state for state transfer through the
-// canonical snapcodec framing: replicas with identical state produce
-// identical bytes in every process (gob could not promise that — its
-// wire format embeds process-global type ids).
-func (l *Ledger) Snapshot() ([]byte, error) {
-	return snapcodec.Encode(snapcodec.FromMap(l.lastSeq, l.digest, l.stateMap.Snapshot())), nil
-}
-
-// SnapshotChunks is the incremental capture path: the bucketed canonical
-// snapshot as a chunk list, re-encoding only buckets the write hook saw
-// mutate since the previous capture.
+// SnapshotChunks captures the ledger state for checkpoints and state
+// transfer as the bucketed canonical snapcodec chunk list: replicas with
+// identical state produce identical chunks in every process (gob could
+// not promise that — its wire format embeds process-global type ids).
+// Only buckets the write hook saw mutate since the previous capture are
+// re-encoded.
 func (l *Ledger) SnapshotChunks() ([][]byte, bool, error) {
 	chunks, _ := l.tracker.EncodeChunks(l.lastSeq, l.digest)
 	return chunks, true, nil
 }
 
-// Restore replaces the ledger state from a snapshot (either framing). A
-// bucketed snapshot also seeds the tracker's encoding cache.
+// Snapshot returns the concatenated SnapshotChunks capture: the blob
+// state transfer hands to Restore.
+func (l *Ledger) Snapshot() ([]byte, error) {
+	chunks, _, err := l.SnapshotChunks()
+	return bytes.Join(chunks, nil), err
+}
+
+// Restore replaces the ledger state from an assembled bucketed snapshot,
+// and seeds the tracker's encoding cache from it.
 func (l *Ledger) Restore(data []byte) error {
-	if snapcodec.IsBucketed(data) {
-		snap, chunks, err := snapcodec.DecodeBucketed(data)
-		if err != nil {
-			return fmt.Errorf("evm: decoding snapshot: %w", err)
-		}
-		l.stateMap.Restore(snap.ToMap())
-		l.state = NewMapState(l.stateMap)
-		l.state.SetWriteHook(l.trackWrite)
-		l.reinstallGuard()
-		l.tracker.Restore(snap, len(chunks)-1, chunks)
-		l.lastSeq = snap.LastSeq
-		l.digest = snap.Digest
-		l.executed = make(map[uint64]*execRecord)
-		return nil
-	}
-	snap, err := snapcodec.Decode(data)
+	snap, chunks, err := snapcodec.DecodeBucketed(data)
 	if err != nil {
 		return fmt.Errorf("evm: decoding snapshot: %w", err)
 	}
@@ -494,10 +481,7 @@ func (l *Ledger) Restore(data []byte) error {
 	l.state = NewMapState(l.stateMap)
 	l.state.SetWriteHook(l.trackWrite)
 	l.reinstallGuard()
-	l.tracker = snapcodec.NewTracker(l.tracker.Buckets())
-	for _, e := range snap.Entries {
-		l.tracker.Set(e.Key, e.Val)
-	}
+	l.tracker.Restore(snap, len(chunks)-1, chunks)
 	l.lastSeq = snap.LastSeq
 	l.digest = snap.Digest
 	l.executed = make(map[uint64]*execRecord)

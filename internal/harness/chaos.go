@@ -133,10 +133,11 @@ func SeedRange(start int64, n int) []int64 {
 	return out
 }
 
-// ChaosReport aggregates a chaos sweep.
-type ChaosReport struct {
+// ChaosReport aggregates a chaos sweep over runs reporting R (*Report
+// for single-group scenarios, *ShardReport for sharded ones).
+type ChaosReport[R interface{ Failed() bool }] struct {
 	Runs     int
-	Failures []*Report
+	Failures []R
 	// Errors are scenarios that could not run at all (cluster build
 	// failures) keyed by seed.
 	Errors map[int64]error
@@ -146,11 +147,8 @@ type ChaosReport struct {
 	HasFailure     bool
 }
 
-// Note records a failing seed.
-func (cr *ChaosReport) note(seed int64, rep *Report) {
-	if rep != nil {
-		cr.Failures = append(cr.Failures, rep)
-	}
+// note records a failing seed.
+func (cr *ChaosReport[R]) note(seed int64) {
 	if !cr.HasFailure || seed < cr.MinFailingSeed {
 		cr.MinFailingSeed = seed
 	}
@@ -158,10 +156,10 @@ func (cr *ChaosReport) note(seed int64, rep *Report) {
 }
 
 // OK reports a clean sweep.
-func (cr *ChaosReport) OK() bool { return !cr.HasFailure && len(cr.Errors) == 0 }
+func (cr *ChaosReport[R]) OK() bool { return !cr.HasFailure && len(cr.Errors) == 0 }
 
 // Summary renders the sweep outcome.
-func (cr *ChaosReport) Summary() string {
+func (cr *ChaosReport[R]) Summary() string {
 	if cr.OK() {
 		return fmt.Sprintf("chaos: %d scenarios, no divergence", cr.Runs)
 	}
@@ -173,21 +171,29 @@ func (cr *ChaosReport) Summary() string {
 // scenario runs in a fresh simulated cluster; a failing seed reproduces
 // by itself via Run(gen(seed)). An optional observer streams each
 // outcome as it lands (rep is nil when err is set).
-func RunChaos(seeds []int64, gen ScenarioGen, observe ...func(seed int64, rep *Report, err error)) *ChaosReport {
-	cr := &ChaosReport{Errors: make(map[int64]error)}
+func RunChaos(seeds []int64, gen ScenarioGen, observe ...func(seed int64, rep *Report, err error)) *ChaosReport[*Report] {
+	return sweep(seeds, func(seed int64) (*Report, error) { return Run(gen(seed)) }, observe)
+}
+
+// sweep is the seed loop shared by every chaos topology: run(seed) for
+// each seed, streaming each outcome to the observers, with failing runs
+// and run errors both counted towards the minimal failing seed.
+func sweep[R interface{ Failed() bool }](seeds []int64, run func(seed int64) (R, error), observe []func(seed int64, rep R, err error)) *ChaosReport[R] {
+	cr := &ChaosReport[R]{Errors: make(map[int64]error)}
 	for _, seed := range seeds {
 		cr.Runs++
-		rep, err := Run(gen(seed))
+		rep, err := run(seed)
 		for _, ob := range observe {
 			ob(seed, rep, err)
 		}
 		if err != nil {
 			cr.Errors[seed] = err
-			cr.note(seed, nil)
+			cr.note(seed)
 			continue
 		}
 		if rep.Failed() {
-			cr.note(seed, rep)
+			cr.Failures = append(cr.Failures, rep)
+			cr.note(seed)
 		}
 	}
 	return cr

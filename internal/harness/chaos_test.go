@@ -65,3 +65,21 @@ func TestChaosReportsMinimalFailingSeed(t *testing.T) {
 		t.Fatalf("MinFailingSeed = %d, want 6", cr.MinFailingSeed)
 	}
 }
+
+// stubRun is a run outcome that fails on demand.
+type stubRun bool
+
+func (s stubRun) Failed() bool { return bool(s) }
+
+// TestSweepSummaryCountsFailures pins the shared seed loop's accounting:
+// a failing run (not only a run error) lands in Failures, so the summary
+// never prints "0 failures" beside a minimal failing seed.
+func TestSweepSummaryCountsFailures(t *testing.T) {
+	cr := sweep([]int64{3, 4, 5}, func(seed int64) (stubRun, error) { return seed == 4, nil }, nil)
+	if len(cr.Failures) != 1 || !cr.HasFailure || cr.MinFailingSeed != 4 {
+		t.Fatalf("failures=%d has=%v min=%d, want 1 failure at seed 4", len(cr.Failures), cr.HasFailure, cr.MinFailingSeed)
+	}
+	if want := "chaos: 3 scenarios, 1 failures, 0 errors; minimal failing seed 4"; cr.Summary() != want {
+		t.Fatalf("summary %q, want %q", cr.Summary(), want)
+	}
+}

@@ -71,25 +71,12 @@ func (r *Recorder) ProveOperation(seq uint64, l int) ([]byte, error) {
 	return r.inner.ProveOperation(seq, l)
 }
 
-// Snapshot implements core.Application.
-func (r *Recorder) Snapshot() ([]byte, error) { return r.inner.Snapshot() }
+// SnapshotChunks implements core.Application by delegation.
+func (r *Recorder) SnapshotChunks() ([][]byte, bool, error) { return r.inner.SnapshotChunks() }
 
-// SnapshotChunks implements core.ChunkedSnapshotter by delegation. The
-// wrapper must forward this statically: if it swallowed the interface,
-// wrapped replicas would fall back to full captures with a DIFFERENT
-// chunk layout than unwrapped ones and checkpoint roots would diverge.
-// The ok=false return keeps delegation safe over apps without the
-// incremental path.
-func (r *Recorder) SnapshotChunks() ([][]byte, bool, error) {
-	if ca, ok := r.inner.(core.ChunkedSnapshotter); ok {
-		return ca.SnapshotChunks()
-	}
-	return nil, false, nil
-}
-
-// ReadKey implements core.KeyReader by delegation, like SnapshotChunks:
-// if the wrapper swallowed the interface, wrapped replicas would answer
-// every certified read ReadUnavailable.
+// ReadKey implements core.KeyReader by delegation: if the wrapper
+// swallowed the interface, wrapped replicas would answer every certified
+// read ReadUnavailable.
 func (r *Recorder) ReadKey(op []byte) (string, error) {
 	if kr, ok := r.inner.(core.KeyReader); ok {
 		return kr.ReadKey(op)
@@ -97,9 +84,9 @@ func (r *Recorder) ReadKey(op []byte) (string, error) {
 	return "", fmt.Errorf("harness: application has no read-key mapping")
 }
 
-// TxStats implements core.TwoPhaser by delegation, like SnapshotChunks:
-// without static forwarding, wrapped replicas would stop reporting the
-// 2PC metrics the sharded tests assert on.
+// TxStats implements core.TwoPhaser by delegation, like ReadKey: without
+// static forwarding, wrapped replicas would stop reporting the 2PC
+// metrics the sharded tests assert on.
 func (r *Recorder) TxStats() (prepares, commits, aborts uint64) {
 	if tp, ok := r.inner.(core.TwoPhaser); ok {
 		return tp.TxStats()

@@ -421,22 +421,6 @@ func ShardGen(seed int64) ShardScenario {
 }
 
 // RunShardChaos sweeps ShardGen-style scenarios across seeds.
-func RunShardChaos(seeds []int64, gen func(seed int64) ShardScenario, observe ...func(seed int64, rep *ShardReport, err error)) *ChaosReport {
-	cr := &ChaosReport{Errors: make(map[int64]error)}
-	for _, seed := range seeds {
-		cr.Runs++
-		rep, err := RunShardScenario(gen(seed))
-		for _, ob := range observe {
-			ob(seed, rep, err)
-		}
-		if err != nil {
-			cr.Errors[seed] = err
-			cr.note(seed, nil)
-			continue
-		}
-		if rep.Failed() {
-			cr.note(seed, nil)
-		}
-	}
-	return cr
+func RunShardChaos(seeds []int64, gen func(seed int64) ShardScenario, observe ...func(seed int64, rep *ShardReport, err error)) *ChaosReport[*ShardReport] {
+	return sweep(seeds, func(seed int64) (*ShardReport, error) { return RunShardScenario(gen(seed)) }, observe)
 }

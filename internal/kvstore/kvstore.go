@@ -407,54 +407,39 @@ func (s *Store) GarbageCollect(keepFrom uint64) {
 	}
 }
 
-// Snapshot serializes the full store state for state transfer (§VIII)
-// through the canonical snapcodec framing: replicas with identical state
-// produce identical bytes IN EVERY PROCESS (gob could not promise that —
-// its wire format embeds process-global type ids, which broke checkpoint
-// root agreement between live replicas with different gob histories).
-// Execution records are not part of the snapshot; a restored replica can
-// prove only blocks it executes after restoration, which matches
-// PBFT-style state transfer semantics.
-func (s *Store) Snapshot() ([]byte, error) {
-	return snapcodec.Encode(snapcodec.FromMap(s.lastSeq, s.digest, s.state.Snapshot())), nil
-}
-
-// SnapshotChunks is the incremental capture path: the bucketed canonical
-// snapshot as a chunk list, re-encoding only buckets written since the
-// previous capture (clean chunks are the identical byte slices of the
-// previous call, so the checkpoint layer reuses their leaf hashes). The
-// replication layer prefers this over Snapshot when available.
+// SnapshotChunks captures the full store state for checkpoints and
+// state transfer (§VIII) as the bucketed canonical snapcodec chunk list:
+// replicas with identical state produce identical chunks IN EVERY
+// PROCESS (gob could not promise that — its wire format embeds
+// process-global type ids, which broke checkpoint root agreement between
+// live replicas with different gob histories). Only buckets written
+// since the previous capture are re-encoded; clean chunks are the
+// identical byte slices of the previous call, so the checkpoint layer
+// reuses their leaf hashes. Execution records are not part of the
+// snapshot; a restored replica can prove only blocks it executes after
+// restoration, which matches PBFT-style state transfer semantics.
 func (s *Store) SnapshotChunks() ([][]byte, bool, error) {
 	chunks, _ := s.tracker.EncodeChunks(s.lastSeq, s.digest)
 	return chunks, true, nil
 }
 
-// Restore replaces the store contents from a snapshot (either framing;
-// state transfer hands over whatever the serving replica captured). A
-// bucketed snapshot also seeds the tracker's encoding cache, so the first
+// Snapshot returns the concatenated SnapshotChunks capture: the blob
+// state transfer hands to Restore.
+func (s *Store) Snapshot() ([]byte, error) {
+	chunks, _, err := s.SnapshotChunks()
+	return bytes.Join(chunks, nil), err
+}
+
+// Restore replaces the store contents from an assembled bucketed
+// snapshot, and seeds the tracker's encoding cache from it, so the first
 // capture after a transfer is already incremental.
 func (s *Store) Restore(data []byte) error {
-	if snapcodec.IsBucketed(data) {
-		snap, chunks, err := snapcodec.DecodeBucketed(data)
-		if err != nil {
-			return fmt.Errorf("kvstore: decoding snapshot: %w", err)
-		}
-		s.state.Restore(snap.ToMap())
-		s.tracker.Restore(snap, len(chunks)-1, chunks)
-		s.lastSeq = snap.LastSeq
-		s.digest = snap.Digest
-		s.executed = make(map[uint64]*execRecord)
-		return nil
-	}
-	snap, err := snapcodec.Decode(data)
+	snap, chunks, err := snapcodec.DecodeBucketed(data)
 	if err != nil {
 		return fmt.Errorf("kvstore: decoding snapshot: %w", err)
 	}
 	s.state.Restore(snap.ToMap())
-	s.tracker = snapcodec.NewTracker(s.tracker.Buckets())
-	for _, e := range snap.Entries {
-		s.tracker.Set(e.Key, e.Val)
-	}
+	s.tracker.Restore(snap, len(chunks)-1, chunks)
 	s.lastSeq = snap.LastSeq
 	s.digest = snap.Digest
 	s.executed = make(map[uint64]*execRecord)

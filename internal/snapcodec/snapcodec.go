@@ -1,6 +1,5 @@
 // Package snapcodec is the canonical binary codec for application
-// checkpoint snapshots (and other byte streams that must be identical
-// across replicas).
+// checkpoint snapshots.
 //
 // The replication layer Merkle-commits snapshot bytes chunk by chunk
 // inside the threshold-signed checkpoint digest (§V-F), so every honest
@@ -14,145 +13,29 @@
 // with the backup quorum's — invisible in the simulator, where all
 // replicas share one process and one gob registry.
 //
-// The format here is fixed big-endian framing with no type metadata:
-//
-//	magic "sbftsnap1"
-//	lastSeq  u64
-//	dlen u64, digest bytes
-//	count u64
-//	count × ( klen u64, key bytes, vlen u64, value bytes )
+// The format (tracker.go) is fixed big-endian framing with no type
+// metadata, split into hash buckets so a Tracker can re-encode only the
+// buckets written since the previous capture.
 package snapcodec
-
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
-
-// magic versions the canonical snapshot framing.
-const magic = "sbftsnap1"
 
 // maxLen bounds any single length field; a sanity guard against
 // allocation bombs from malformed input (never certified input — the
 // replication layer verifies chunks against the signed root first).
 const maxLen = 1 << 31
 
-// Entry is one key-value pair of the canonical snapshot encoding.
+// Entry is one key-value pair of a decoded snapshot.
 type Entry struct {
 	Key string
 	Val []byte
 }
 
-// State is an application's replayable checkpoint state in canonical
-// form: the last executed sequence, the application digest at that
-// sequence, and the key-SORTED state entries.
+// State is an application's replayable checkpoint state in decoded form:
+// the last executed sequence, the application digest at that sequence,
+// and the state entries.
 type State struct {
 	LastSeq uint64
 	Digest  []byte
 	Entries []Entry
-}
-
-// FromMap builds a State with canonically sorted entries.
-func FromMap(lastSeq uint64, digest []byte, m map[string][]byte) State {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]Entry, len(keys))
-	for i, k := range keys {
-		entries[i] = Entry{Key: k, Val: m[k]}
-	}
-	return State{LastSeq: lastSeq, Digest: digest, Entries: entries}
-}
-
-// Encode serializes the state canonically: identical State values yield
-// identical bytes in every process.
-func Encode(st State) []byte {
-	n := len(magic) + 8 + 8 + len(st.Digest) + 8
-	for _, e := range st.Entries {
-		n += 16 + len(e.Key) + len(e.Val)
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, magic...)
-	buf = binary.BigEndian.AppendUint64(buf, st.LastSeq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(st.Digest)))
-	buf = append(buf, st.Digest...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(st.Entries)))
-	for _, e := range st.Entries {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e.Val)))
-		buf = append(buf, e.Val...)
-	}
-	return buf
-}
-
-// Decode parses a canonical snapshot. Zero-length digests and values
-// decode to nil.
-func Decode(data []byte) (State, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return State{}, fmt.Errorf("snapcodec: bad magic")
-	}
-	data = data[len(magic):]
-	readU64 := func() (uint64, error) {
-		if len(data) < 8 {
-			return 0, fmt.Errorf("snapcodec: truncated")
-		}
-		v := binary.BigEndian.Uint64(data)
-		data = data[8:]
-		return v, nil
-	}
-	readBytes := func() ([]byte, error) {
-		n, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxLen || uint64(len(data)) < n {
-			return nil, fmt.Errorf("snapcodec: bad length %d", n)
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		out := append([]byte(nil), data[:n]...)
-		data = data[n:]
-		return out, nil
-	}
-	var st State
-	var err error
-	if st.LastSeq, err = readU64(); err != nil {
-		return State{}, err
-	}
-	if st.Digest, err = readBytes(); err != nil {
-		return State{}, err
-	}
-	count, err := readU64()
-	if err != nil {
-		return State{}, err
-	}
-	// Each entry consumes at least 16 bytes of input (two length fields),
-	// so the remaining data bounds the plausible count — checked BEFORE
-	// the slice allocation, or a corrupt count field could demand
-	// gigabytes for a few trailing bytes.
-	if count > maxLen/16 || count > uint64(len(data))/16 {
-		return State{}, fmt.Errorf("snapcodec: %d entries in %d bytes", count, len(data))
-	}
-	st.Entries = make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		k, err := readBytes()
-		if err != nil {
-			return State{}, err
-		}
-		v, err := readBytes()
-		if err != nil {
-			return State{}, err
-		}
-		st.Entries = append(st.Entries, Entry{Key: string(k), Val: v})
-	}
-	if len(data) != 0 {
-		return State{}, fmt.Errorf("snapcodec: %d trailing bytes", len(data))
-	}
-	return st, nil
 }
 
 // ToMap flattens decoded entries back into a map.

@@ -1,6 +1,5 @@
-// Bucketed canonical snapshots: the incremental variant of the flat
-// framing in snapcodec.go. Keys are distributed over a fixed number of
-// hash buckets; each bucket encodes independently (same fixed big-endian
+// Bucketed canonical snapshots. Keys are distributed over a fixed number
+// of hash buckets; each bucket encodes independently (fixed big-endian
 // framing, keys sorted within the bucket), and a Tracker mirrors the
 // application state so that only buckets touched since the previous
 // capture are re-encoded. Capture cost becomes O(writes-since-last-
@@ -11,7 +10,7 @@
 // Canonicality: the bucket of a key is a pure function of the key bytes
 // (FNV-1a 64), the bucket count is part of the encoding, and bucket
 // contents are key-sorted — identical state yields identical chunks in
-// every process, exactly like the flat format. The bucket count is
+// every process. The bucket count is
 // adopted from the blob on restore, so a fetched snapshot re-buckets the
 // restoring replica identically to the serving one.
 //
@@ -50,11 +49,6 @@ func BucketOf(key string, n int) int {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int(h.Sum64() % uint64(n))
-}
-
-// IsBucketed reports whether data carries the bucketed framing.
-func IsBucketed(data []byte) bool {
-	return len(data) >= len(bucketMagic) && string(data[:len(bucketMagic)]) == bucketMagic
 }
 
 // Tracker maintains the bucketed encoding of one application's state
@@ -235,7 +229,7 @@ func BucketLookup(chunk []byte, key string) ([]byte, bool, error) {
 // state and the re-split chunk list (prelude + one slice per bucket,
 // aliasing data) for seeding a Tracker.
 func DecodeBucketed(data []byte) (State, [][]byte, error) {
-	if !IsBucketed(data) {
+	if len(data) < len(bucketMagic) || string(data[:len(bucketMagic)]) != bucketMagic {
 		return State{}, nil, fmt.Errorf("snapcodec: bad bucket magic")
 	}
 	rest := data[len(bucketMagic):]
