@@ -3,22 +3,28 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
 	"sbft/internal/apps"
 	"sbft/internal/core"
 	"sbft/internal/kvstore"
+	"sbft/internal/node"
 	"sbft/internal/transport"
 )
 
 // runLiveReads is the real-transport smoke for the reads mix: it boots a
-// 4-node (f=1, c=0) deployment over loopback TCP — real sockets, real
-// goroutines, real wall-clock timers, none of the simulator's
-// determinism — populates keys through consensus, then drives a mix of
-// certified single-replica reads and further writes. It fails if any
-// operation hangs, any certified read returns a value that consensus
-// never committed, or every read fell back to ordering (the
+// 4-node (f=1, c=0) deployment over loopback TCP with the wiring
+// sbft-node ships (internal/node: durable ledgers in a temporary
+// directory, the async snapshot sink, a crypto pool per replica) — real
+// sockets, real goroutines, real wall-clock timers, none of the
+// simulator's determinism — populates keys through consensus, then
+// drives a mix of certified single-replica reads and further writes. It
+// fails if any operation hangs, any certified read returns a value that
+// consensus never committed, or every read fell back to ordering (the
 // consensus-free path never worked at all).
 func runLiveReads(writes, reads int, timeout time.Duration) error {
 	cfg := core.DefaultConfig(1, 0)
@@ -26,36 +32,34 @@ func runLiveReads(writes, reads int, timeout time.Duration) error {
 	// Certified reads serve from checkpoint snapshots; the default win/2
 	// interval (128) would never checkpoint inside this small smoke.
 	cfg.CheckpointInterval = 4
-	n := cfg.N()
-	suite, keys, err := core.InsecureSuite(cfg, "chaos-live")
+	const seed = "chaos-live"
+	suite, _, err := core.InsecureSuite(cfg, seed)
 	if err != nil {
 		return err
 	}
+	dataDir, err := os.MkdirTemp("", "sbft-live-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dataDir)
 
 	replicaPeers := make(map[int]string)
-	shells := make([]*transport.Shell, n+1)
-	for id := 1; id <= n; id++ {
-		sh, err := transport.NewShell(id, "127.0.0.1:0", replicaPeers)
+	nodes := make([]*node.Node, 0, cfg.N())
+	for id := 1; id <= cfg.N(); id++ {
+		n, err := node.New(node.Config{ID: id, Listen: "127.0.0.1:0", Peers: replicaPeers, Core: cfg, Seed: seed,
+			DataDir: filepath.Join(dataDir, fmt.Sprint(id)), CryptoWorkers: runtime.NumCPU()})
 		if err != nil {
 			return err
 		}
-		defer sh.Close()
-		shells[id] = sh
-		replicaPeers[id] = sh.Addr()
+		defer n.Stop()
+		nodes = append(nodes, n)
+		replicaPeers[id] = n.Addr()
 	}
-	for id := 1; id <= n; id++ {
-		rep, err := core.NewReplica(id, cfg, suite, keys[id-1], apps.NewKVApp(), shells[id], nil)
-		if err != nil {
-			return err
-		}
-		shells[id].Start(rep)
+	for _, n := range nodes {
+		n.Start()
 	}
 
-	clientPeers := make(map[int]string, n)
-	for id, addr := range replicaPeers {
-		clientPeers[id] = addr
-	}
-	clientShell, err := transport.NewShell(core.ClientBase, "127.0.0.1:0", clientPeers)
+	clientShell, err := transport.NewShell(core.ClientBase, "127.0.0.1:0", replicaPeers)
 	if err != nil {
 		return err
 	}
@@ -183,7 +187,9 @@ func runLiveReads(writes, reads int, timeout time.Duration) error {
 	if ordered >= reads {
 		return fmt.Errorf("all %d reads fell back to ordering — the certified read path never served one", reads)
 	}
-	fmt.Printf("[live] %d writes + %d certified reads over TCP ok (%d ordered fallbacks, %d failovers)\n",
-		writes, reads, ordered, failovers)
+	var retries uint64
+	clientShell.Do(func() { retries = client.Retries })
+	fmt.Printf("[live] %d writes + %d certified reads over TCP ok (%d request retries, %d ordered fallbacks, %d failovers)\n",
+		writes, reads, retries, ordered, failovers)
 	return nil
 }

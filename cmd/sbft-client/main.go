@@ -8,46 +8,18 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"sbft/internal/apps"
 	"sbft/internal/core"
 	"sbft/internal/kvstore"
+	"sbft/internal/node"
 	"sbft/internal/transport"
 )
-
-func loadPeers(path string) (map[int]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	peers := make(map[int]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("malformed peers line %q", line)
-		}
-		id, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad id in %q: %w", line, err)
-		}
-		peers[id] = fields[1]
-	}
-	return peers, sc.Err()
-}
 
 func main() {
 	var (
@@ -65,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	peers, err := loadPeers(*peerFile)
+	peers, err := node.LoadPeers(*peerFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sbft-client: %v\n", err)
 		os.Exit(1)

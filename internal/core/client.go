@@ -97,12 +97,15 @@ type pendingOp struct {
 
 // NewClient builds a client. id must be ≥ ClientBase. verify may be nil
 // when the application provides no proofs (then only the π signature over
-// the digest is checked).
+// the digest is checked). Request timestamps start above env.Now(): over
+// a wall-clock Env a new session with a reused id therefore starts above
+// every timestamp an earlier session sent, which the replicas' exactly-once
+// filter would otherwise drop (§V-A).
 func NewClient(id int, cfg Config, suite CryptoSuite, env Env, verify ProofVerifier) (*Client, error) {
 	if !IsClient(id) {
 		return nil, fmt.Errorf("core: client id %d below ClientBase", id)
 	}
-	return &Client{id: id, cfg: cfg, suite: suite, env: env, verify: verify}, nil
+	return &Client{id: id, cfg: cfg, suite: suite, env: env, verify: verify, ts: uint64(env.Now())}, nil
 }
 
 // ID reports the client id.

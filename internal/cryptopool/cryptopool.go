@@ -17,7 +17,7 @@ import (
 
 // Pool is a fixed-width crypto worker pool implementing core.CryptoSink.
 // Completions are routed back onto the replica's event loop through the
-// do callback (transport.Shell.Do in sbft-node), per the sink contract.
+// do callback (transport.Shell.Do in internal/node), per the sink contract.
 type Pool struct {
 	suite core.CryptoSuite
 	do    func(func())
@@ -99,8 +99,8 @@ func (p *Pool) Combine(kind core.ShareKind, digest []byte, shares []threshsig.Sh
 }
 
 // Close drains queued work and stops the workers; further calls fall
-// back to inline execution. Close the pool before the shell it routes
-// completions through.
+// back to inline execution. Completions routed through a closed shell are
+// dropped, so the pool may be closed before or after it.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {

@@ -99,6 +99,7 @@ type Shell struct {
 
 	events chan func()
 	done   chan struct{}
+	exited chan struct{} // closed once Close has waited out the event loop
 	wg     sync.WaitGroup
 	ln     net.Listener
 	node   Node
@@ -121,6 +122,7 @@ func NewShell(id int, listenAddr string, peers map[int]string) (*Shell, error) {
 		inbound: make(map[net.Conn]struct{}),
 		events:  make(chan func(), 4096),
 		done:    make(chan struct{}),
+		exited:  make(chan struct{}),
 		ln:      ln,
 	}
 	return s, nil
@@ -174,10 +176,13 @@ func (s *Shell) readLoop(conn net.Conn) {
 	from := h.From
 	if h.Addr != "" {
 		// Learn a dial-back route for peers absent from the static book
-		// (clients announce themselves this way).
+		// (clients announce themselves this way). A new address is a new
+		// session: the cached connection to the old one is dead, and the
+		// first write into it would be lost without an error.
 		s.mu.Lock()
-		if _, known := s.peers[from]; !known {
+		if _, known := s.peers[from]; !known && s.learned[from] != h.Addr {
 			s.learned[from] = h.Addr
+			s.forget(from)
 		}
 		s.mu.Unlock()
 	}
@@ -267,9 +272,9 @@ func (s *Shell) dial(to int) (*gob.Encoder, error) {
 	return enc, nil
 }
 
-func (s *Shell) dropConn(to int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// forget closes and drops the cached connection to a peer; s.mu must be
+// held.
+func (s *Shell) forget(to int) {
 	if c, ok := s.rawConn[to]; ok {
 		c.Close()
 	}
@@ -281,7 +286,7 @@ var _ core.Env = (*Shell)(nil)
 
 // ShellFaults configures seeded outbound fault injection on a Shell —
 // the transport-level counterpart of the simulator's link faults, letting
-// the real-TCP integration test run chaos scenarios. Faults apply before
+// the real-TCP tests in internal/node run chaos scenarios. Faults apply before
 // the codec: a dropped message never reaches the encoder, a delayed one
 // is re-enqueued through the event loop (which also reorders it relative
 // to later sends).
@@ -349,7 +354,9 @@ func (s *Shell) sendNow(to int, msg core.Message) {
 		return
 	}
 	if err := enc.Encode(envelope{From: s.id, Msg: msg}); err != nil {
-		s.dropConn(to)
+		s.mu.Lock()
+		s.forget(to)
+		s.mu.Unlock()
 	}
 }
 
@@ -387,12 +394,17 @@ func (s *Shell) After(d time.Duration, fn func()) func() {
 }
 
 // Do runs fn on the event loop and waits for it (external access to node
-// state).
+// state). Once the shell is closed Do returns without calling fn, or
+// after fn has completed if the event loop picked it up first; it never
+// returns while fn is still running.
 func (s *Shell) Do(fn func()) {
 	doneCh := make(chan struct{})
 	select {
 	case s.events <- func() { fn(); close(doneCh) }:
-		<-doneCh
+		select {
+		case <-doneCh:
+		case <-s.exited:
+		}
 	case <-s.done:
 	}
 }
@@ -415,5 +427,6 @@ func (s *Shell) Close() error {
 	close(s.done)
 	err := s.ln.Close()
 	s.wg.Wait()
+	close(s.exited)
 	return err
 }

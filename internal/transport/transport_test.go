@@ -1,106 +1,12 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"sbft/internal/apps"
 	"sbft/internal/core"
-	"sbft/internal/kvstore"
 )
-
-// launchTCPCluster starts n replicas and one client over loopback TCP.
-func launchTCPCluster(t *testing.T, cfg core.Config) ([]*Shell, *Shell, *core.Client) {
-	t.Helper()
-	n := cfg.N()
-	suite, keys, err := core.InsecureSuite(cfg, "tcp-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shells := make([]*Shell, n+1)
-	peers := make(map[int]string)
-	for id := 1; id <= n; id++ {
-		sh, err := NewShell(id, "127.0.0.1:0", peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shells[id] = sh
-		peers[id] = sh.Addr()
-		t.Cleanup(func() { sh.Close() })
-	}
-	clientID := core.ClientBase
-	clientShell, err := NewShell(clientID, "127.0.0.1:0", peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers[clientID] = clientShell.Addr()
-	t.Cleanup(func() { clientShell.Close() })
-
-	for id := 1; id <= n; id++ {
-		rep, err := core.NewReplica(id, cfg, suite, keys[id-1], apps.NewKVApp(), shells[id], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shells[id].Start(rep)
-	}
-	client, err := core.NewClient(clientID, cfg, suite, clientShell, apps.VerifyKV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.RequestTimeout = 2 * time.Second
-	clientShell.Start(client)
-	return shells, clientShell, client
-}
-
-func TestTCPClusterCommitsOperations(t *testing.T) {
-	cfg := core.DefaultConfig(1, 0)
-	cfg.BatchTimeout = 5 * time.Millisecond
-	_, clientShell, client := launchTCPCluster(t, cfg)
-
-	const ops = 5
-	var mu sync.Mutex
-	results := make([][]byte, 0, ops)
-	done := make(chan struct{})
-
-	submitLocked := func(i int) {
-		// Runs on the client's event loop (from onResult or via Do).
-		op := kvstore.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
-		if err := client.Submit(op); err != nil {
-			t.Errorf("Submit: %v", err)
-		}
-	}
-	client.SetOnResult(func(res core.Result) {
-		mu.Lock()
-		results = append(results, res.Val)
-		n := len(results)
-		mu.Unlock()
-		if n < ops {
-			submitLocked(n)
-		} else {
-			close(done)
-		}
-	})
-	clientShell.Do(func() { submitLocked(0) })
-
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("timed out waiting for operations over TCP")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(results) != ops {
-		t.Fatalf("completed %d of %d", len(results), ops)
-	}
-	for _, v := range results {
-		if string(v) != "OK" {
-			t.Fatalf("unexpected result %q", v)
-		}
-	}
-}
 
 func TestShellAfterCancel(t *testing.T) {
 	sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
@@ -124,6 +30,30 @@ func TestShellAfterCancel(t *testing.T) {
 	case <-fired:
 	case <-time.After(time.Second):
 		t.Fatal("timer did not fire")
+	}
+}
+
+// TestShellDoAfterClose: Do must return once the shell is closed, even
+// when its event queue still has room to accept fn. Crypto-pool and
+// snapshot-sink completions take this path when they finish after Stop.
+func TestShellDoAfterClose(t *testing.T) {
+	sh, err := NewShell(core.ClientBase, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Start(nopNode{})
+	sh.Close()
+	returned := make(chan struct{})
+	go func() {
+		for i := 0; i < 100; i++ {
+			sh.Do(func() { t.Error("fn ran after Close") })
+		}
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do blocked after Close")
 	}
 }
 
@@ -202,5 +132,50 @@ func TestAnnounceAllEstablishesDialBackRoutes(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("replica could not reach the announced client")
 		}
+	}
+}
+
+// TestReannouncedAddressDropsStaleRoute: when a client id reconnects from
+// a new listen address, the replica must forget its cached connection to
+// the old session. Otherwise its next message is written into the dead
+// socket without an error and lost, costing the new session a full
+// request timeout.
+func TestReannouncedAddressDropsStaleRoute(t *testing.T) {
+	replicaShell, err := NewShell(1, "127.0.0.1:0", map[int]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replicaShell.Close()
+	replicaShell.Start(nopNode{})
+	peers := map[int]string{1: replicaShell.Addr()}
+
+	for session := 0; session < 2; session++ {
+		clientShell, err := NewShell(core.ClientBase, "127.0.0.1:0", peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := newRecordingNode()
+		clientShell.Start(sink)
+		clientShell.AnnounceAll()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			replicaShell.mu.Lock()
+			learned := replicaShell.learned[core.ClientBase]
+			replicaShell.mu.Unlock()
+			if learned == clientShell.Addr() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("session %d: replica never learned the announced address", session)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		replicaShell.Send(core.ClientBase, core.ReplyMsg{Client: core.ClientBase, Timestamp: 1})
+		select {
+		case <-sink.wake:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("session %d: first message after the hello was lost", session)
+		}
+		clientShell.Close()
 	}
 }
